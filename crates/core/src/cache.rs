@@ -27,11 +27,15 @@
 //! its node to the front and eviction pops the tail, both `O(1)` with zero
 //! allocation, so the lock hold time is flat no matter how many plans are
 //! resident. One cache serves every thread sharing a `Session`.
+//!
+//! **Single flight.** [`PlanCache::get_or_plan`] plans each missing key
+//! once even when several threads miss it together: the first caller
+//! plans, the others wait for its statement and count as hits.
 
 use crate::optimizer::OptimizedPlan;
-use pyro_common::DataType;
+use pyro_common::{DataType, Result};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A cached statement: the optimized physical plan and what the frontend
 /// learned about its `?` placeholders (one expected-type slot per
@@ -85,10 +89,64 @@ struct Node {
     next: u32,
 }
 
+/// A plan one caller is optimizing while others wait for it.
+#[derive(Debug, Default)]
+struct Flight {
+    /// `None` while planning; then the statement, or `Some(None)` if the
+    /// planner failed (each waiter then retries on its own).
+    landed: Mutex<Option<Option<Arc<CachedStatement>>>>,
+    ready: Condvar,
+}
+
+impl Flight {
+    fn land(&self, stmt: Option<Arc<CachedStatement>>) {
+        *self.landed.lock().unwrap_or_else(PoisonError::into_inner) = Some(stmt);
+        self.ready.notify_all();
+    }
+
+    fn wait(&self) -> Option<Arc<CachedStatement>> {
+        let mut landed = self.landed.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(stmt) = &*landed {
+                return stmt.clone();
+            }
+            landed = self
+                .ready
+                .wait(landed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Lands its flight on drop — normally with the planned statement, with
+/// `None` if the planner failed or panicked — so waiters never hang.
+struct Landing<'a> {
+    cache: &'a PlanCache,
+    key: PlanKey,
+    flight: Arc<Flight>,
+    stmt: Option<Arc<CachedStatement>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        {
+            // One lock hold: a newcomer sees either the flight or the entry.
+            let mut inner = self.cache.lock();
+            inner.inflight.remove(&self.key);
+            if let Some(stmt) = &self.stmt {
+                inner.insert(self.cache.capacity, self.key.clone(), Arc::clone(stmt));
+            }
+        }
+        self.flight.land(self.stmt.take());
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     /// Key → slab slot of its node.
     map: HashMap<PlanKey, u32>,
+    /// Keys being planned right now (see [`PlanCache::get_or_plan`]).
+    inflight: HashMap<PlanKey, Arc<Flight>>,
     /// Node storage; `None` slots are free (tracked in `free`). The slab
     /// never exceeds `capacity` slots, so slot indices stay stable and
     /// reusable for the cache's whole life.
@@ -107,6 +165,7 @@ impl Default for Inner {
     fn default() -> Inner {
         Inner {
             map: HashMap::new(),
+            inflight: HashMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -183,6 +242,36 @@ impl Inner {
         self.evictions += 1;
     }
 
+    /// Looks up `key`, counting a hit and refreshing recency when found.
+    fn hit(&mut self, key: &PlanKey) -> Option<Arc<CachedStatement>> {
+        let slot = self.map.get(key).copied()?;
+        self.touch(slot);
+        self.hits += 1;
+        Some(Arc::clone(&self.node(slot).stmt))
+    }
+
+    /// Inserts (or refreshes) an entry, evicting the LRU one first when
+    /// `capacity` entries are resident.
+    fn insert(&mut self, capacity: usize, key: PlanKey, stmt: Arc<CachedStatement>) {
+        if let Some(slot) = self.map.get(&key).copied() {
+            // Refresh in place: new payload, fresh recency, no eviction.
+            self.node_mut(slot).stmt = stmt;
+            self.touch(slot);
+            return;
+        }
+        if self.map.len() >= capacity {
+            self.evict_tail();
+        }
+        let slot = self.alloc(Node {
+            key: key.clone(),
+            stmt,
+            prev: NIL,
+            next: NIL,
+        });
+        self.map.insert(key, slot);
+        self.push_front(slot);
+    }
+
     /// Allocates a slab slot for a new node.
     fn alloc(&mut self, node: Node) -> u32 {
         match self.free.pop() {
@@ -231,40 +320,60 @@ impl PlanCache {
     /// happens inside or outside the lock.
     pub fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedStatement>> {
         let mut inner = self.lock();
-        match inner.map.get(key).copied() {
-            Some(slot) => {
-                inner.touch(slot);
-                inner.hits += 1;
-                Some(Arc::clone(&inner.node(slot).stmt))
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let stmt = inner.hit(key);
+        if stmt.is_none() {
+            inner.misses += 1;
         }
+        stmt
     }
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one first when the cache is full. `O(1)` either way.
     pub fn insert(&self, key: PlanKey, stmt: Arc<CachedStatement>) {
-        let mut inner = self.lock();
-        if let Some(slot) = inner.map.get(&key).copied() {
-            // Refresh in place: new payload, fresh recency, no eviction.
-            inner.node_mut(slot).stmt = stmt;
-            inner.touch(slot);
-            return;
+        self.lock().insert(self.capacity, key, stmt);
+    }
+
+    /// The statement cached under `key`, planned by `plan` on a miss and
+    /// then cached; the flag is `true` for a hit. Misses are single-flight:
+    /// while one caller plans a key, later callers for that key wait for
+    /// its statement and count as hits, so each key is planned once. If
+    /// the planner fails, its error goes to its own caller and each waiter
+    /// retries as if it had just arrived.
+    pub fn get_or_plan(
+        &self,
+        key: PlanKey,
+        plan: impl FnOnce() -> Result<CachedStatement>,
+    ) -> Result<(Arc<CachedStatement>, bool)> {
+        loop {
+            let flight = {
+                let mut inner = self.lock();
+                if let Some(stmt) = inner.hit(&key) {
+                    return Ok((stmt, true));
+                }
+                match inner.inflight.get(&key) {
+                    Some(flight) => Arc::clone(flight),
+                    None => {
+                        inner.misses += 1;
+                        let flight = Arc::new(Flight::default());
+                        inner.inflight.insert(key.clone(), Arc::clone(&flight));
+                        drop(inner);
+                        let mut landing = Landing {
+                            cache: self,
+                            key,
+                            flight,
+                            stmt: None,
+                        };
+                        let stmt = Arc::new(plan()?);
+                        landing.stmt = Some(Arc::clone(&stmt));
+                        return Ok((stmt, false));
+                    }
+                }
+            };
+            if let Some(stmt) = flight.wait() {
+                self.lock().hits += 1;
+                return Ok((stmt, true));
+            }
         }
-        if inner.map.len() >= self.capacity {
-            inner.evict_tail();
-        }
-        let slot = inner.alloc(Node {
-            key: key.clone(),
-            stmt,
-            prev: NIL,
-            next: NIL,
-        });
-        inner.map.insert(key, slot);
-        inner.push_front(slot);
     }
 
     /// Current counters and occupancy.
@@ -469,6 +578,59 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, 200);
         assert!(s.hits > 0);
+    }
+
+    /// Threads that miss one key together plan it once: the planner is
+    /// held until every thread has arrived, so all of them overlap it.
+    #[test]
+    fn concurrent_misses_plan_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let cache = Arc::new(PlanCache::new(4));
+        let plans = Arc::new(AtomicUsize::new(0));
+        let arrived = Arc::new(Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let (cache, plans, arrived) = (cache.clone(), plans.clone(), arrived.clone());
+                std::thread::spawn(move || {
+                    arrived.wait();
+                    cache
+                        .get_or_plan(key("q", 0, 0), || {
+                            plans.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            Ok((*stmt(7.0)).clone())
+                        })
+                        .unwrap()
+                })
+            })
+            .collect();
+        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(plans.load(Ordering::SeqCst), 1, "one planner");
+        assert_eq!(got.iter().filter(|(_, hit)| !hit).count(), 1, "one miss");
+        assert!(got.iter().all(|(s, _)| Arc::ptr_eq(s, &got[0].0)));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (3, 1, 1));
+    }
+
+    /// A failed plan is not cached, reaches its own caller, and the next
+    /// caller plans afresh.
+    #[test]
+    fn failed_plan_is_retried() {
+        let cache = PlanCache::new(4);
+        let err = cache.get_or_plan(key("q", 0, 0), || {
+            Err(pyro_common::PyroError::Storage("boom".into()))
+        });
+        assert!(err.is_err());
+        assert!(cache.is_empty());
+        let (s, hit) = cache
+            .get_or_plan(key("q", 0, 0), || Ok((*stmt(3.0)).clone()))
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(s.plan.cost(), 3.0);
+        let (_, hit) = cache
+            .get_or_plan(key("q", 0, 0), || unreachable!("cached"))
+            .unwrap();
+        assert!(hit);
     }
 
     #[test]

@@ -637,6 +637,9 @@ fn gen_candidates(ctx: &Ctx, id: NodeId, required: &SortOrder) -> Result<Vec<Arc
                             .distinct_of(scan.out_order.attrs()[..k].iter().map(String::as_str)))
                     .min(1.0);
                     // O(log P) opening-tuple probes, then the surviving pages.
+                    // Execution probes in-memory page fences, so the probe
+                    // charge overstates a seek; it is kept so plans and
+                    // their costs stay stable (DESIGN.md, point-query path).
                     let probes = scan.cost.max(2.0).log2().ceil();
                     let seek_cost = (scan.cost * sel + probes).max(1.0);
                     if seek_cost >= scan.cost {

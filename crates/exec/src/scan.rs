@@ -130,15 +130,17 @@ impl Operator for FileScan {
 }
 
 /// Binary-searches the half-open page range of a sorted `file` that can
-/// hold tuples whose `key_cols` prefix equals `key`, probing the first
+/// hold tuples whose `key_cols` prefix equals `key`, probing the opening
 /// tuple of O(log P) pages.
 ///
 /// The returned range is a *superset* of the pages holding matches — the
 /// first candidate page's opening tuple may still sort below the key — so
 /// callers must keep their residual predicate; a conservatively wide range
 /// costs extra I/O, never a wrong answer. Probes compare with the same
-/// [`Value`] total order the executor's `=` uses, and each probe is a real
-/// page read charged to the device like any other.
+/// [`Value`] total order the executor's `=` uses. They read the file's
+/// in-memory page fences ([`TupleFile::fence`]), so they cost no device
+/// read — except the first probe of a page on a file rebuilt from its
+/// persisted parts, which reads that page once.
 pub fn eq_key_page_range(
     file: &TupleFile,
     key_cols: &[usize],
@@ -148,20 +150,8 @@ pub fn eq_key_page_range(
     if pages == 0 || key_cols.is_empty() || key_cols.len() != key.len() {
         return Ok((0, pages));
     }
-    // Orders page p's first tuple against the key, prefix-lexicographically.
-    // Writers never emit empty pages, so a `None` probe cannot occur on a
-    // well-formed file; treating it as past-the-key keeps the search total.
-    let probe = |p: usize| -> Result<CmpOrdering> {
-        Ok(match file.scan_pages(p, p + 1).next_tuple()? {
-            Some(t) => key_cols
-                .iter()
-                .zip(key)
-                .map(|(&c, k)| t.get(c).cmp(k))
-                .find(|o| *o != CmpOrdering::Equal)
-                .unwrap_or(CmpOrdering::Equal),
-            None => CmpOrdering::Greater,
-        })
-    };
+    // Orders page p's opening tuple against the key, prefix-lexicographically.
+    let probe = |p: usize| file.fence(p)?.cmp_prefix(key_cols, key);
     // First page whose opening tuple is >= key. Matches can start one page
     // earlier: that page opens below the key but may reach it further in.
     let (mut lo, mut hi) = (0usize, pages);
@@ -481,6 +471,167 @@ mod tests {
             eq_key_page_range(&empty, &[0], &[Value::Int(1)]).unwrap(),
             (0, 0)
         );
+    }
+
+    /// Checks one seek on `file` (sorted on `cols`) against `rows`: every
+    /// fence probe ranks like the page's decoded opening tuple under
+    /// [`Value::cmp`], and the returned range holds every row whose key
+    /// compares equal.
+    fn check_seek(file: &TupleFile, rows: &[Tuple], cols: &[usize], key: &[Value]) {
+        let cmp_key = |t: &Tuple| {
+            cols.iter()
+                .zip(key)
+                .map(|(&c, k)| t.get(c).cmp(k))
+                .find(|o| o.is_ne())
+                .unwrap_or(CmpOrdering::Equal)
+        };
+        for p in 0..file.block_count() as usize {
+            let opening = file.scan_pages(p, p + 1).next_tuple().unwrap().unwrap();
+            let fence = file.fence(p).unwrap();
+            assert_eq!(fence.decode().unwrap(), opening, "page {p} fence");
+            assert_eq!(
+                fence.cmp_prefix(cols, key).unwrap(),
+                cmp_key(&opening),
+                "page {p} probe for {key:?}"
+            );
+        }
+        let (start, end) = eq_key_page_range(file, cols, key).unwrap();
+        let schema = Schema::ints(&["c0", "c1", "c2"][..rows[0].arity()]);
+        let got: Vec<Tuple> =
+            collect(Box::new(FileScan::over_pages(schema, file, start, end)) as BoxOp)
+                .unwrap()
+                .into_iter()
+                .filter(|t| cmp_key(t).is_eq())
+                .collect();
+        let expect: Vec<Tuple> = rows
+            .iter()
+            .filter(|t| cmp_key(t).is_eq())
+            .cloned()
+            .collect();
+        assert_eq!(
+            got, expect,
+            "key {key:?} rows lost by the page bounds {start}..{end}"
+        );
+    }
+
+    /// String, double and NULL-bearing sort keys: the in-place fence
+    /// comparison keeps the `Value` order, including mixed-numeric and
+    /// cross-type keys and NULLs sorting last.
+    #[test]
+    fn eq_key_page_range_str_double_null_keys() {
+        let dev = SimDevice::with_block_size(128);
+        let strs: Vec<Tuple> = (0..300i64)
+            .map(|i| Tuple::new(vec![Value::Str(format!("k{:03}", i / 3)), Value::Int(i)]))
+            .collect();
+        let file = write_file(&dev, &strs).unwrap();
+        assert!(file.block_count() > 10);
+        for key in [
+            Value::Str("k000".into()),
+            Value::Str("k050".into()),
+            Value::Str("k099".into()),
+            Value::Str("a".into()),
+            Value::Str("k0505".into()),
+            Value::Str("z".into()),
+            Value::Str(String::new()),
+            Value::Int(5),
+            Value::Null,
+        ] {
+            check_seek(&file, &strs, &[0], &[key]);
+        }
+
+        let doubles: Vec<Tuple> = (0..300i64)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Double((i / 3) as f64 * 0.5 - 20.0),
+                    Value::Int(i),
+                ])
+            })
+            .collect();
+        let file = write_file(&dev, &doubles).unwrap();
+        for key in [
+            Value::Double(-20.0),
+            Value::Double(0.0),
+            Value::Double(0.25),
+            Value::Double(29.5),
+            Value::Double(1e9),
+            Value::Double(f64::NAN),
+            Value::Int(3),
+            Value::Str("x".into()),
+        ] {
+            check_seek(&file, &doubles, &[0], &[key]);
+        }
+
+        // NULLs sort last, on both key columns.
+        let mut nulls: Vec<Tuple> = (0..300i64)
+            .map(|i| {
+                let a = if i < 200 {
+                    Value::Int(i / 20)
+                } else {
+                    Value::Null
+                };
+                let b = if i % 20 < 15 {
+                    Value::Str(format!("s{:02}", i % 20))
+                } else {
+                    Value::Null
+                };
+                Tuple::new(vec![a, b, Value::Int(i)])
+            })
+            .collect();
+        nulls.sort();
+        let file = write_file(&dev, &nulls).unwrap();
+        for key in [Value::Int(0), Value::Int(9), Value::Int(10), Value::Null] {
+            check_seek(&file, &nulls, &[0], &[key]);
+        }
+        for key in [
+            [Value::Int(3), Value::Str("s07".into())],
+            [Value::Int(3), Value::Null],
+            [Value::Null, Value::Null],
+            [Value::Null, Value::Str("s00".into())],
+        ] {
+            check_seek(&file, &nulls, &[0, 1], &key);
+        }
+    }
+
+    /// A file rebuilt from its persisted parts starts with empty fences:
+    /// its first seeks read pages to fill them, then seek for free, and
+    /// every range matches the writer-built file's.
+    #[test]
+    fn eq_key_page_range_from_parts_fills_fences_lazily() {
+        let (dev, built, _) = sample_file(400, 128);
+        let reopened = TupleFile::from_parts(
+            dev.clone(),
+            built.pages().to_vec(),
+            built.tuple_count(),
+            built.byte_count(),
+        );
+        let pages = built.block_count() as usize;
+        let log_pages = usize::BITS - pages.leading_zeros();
+        for key in [0i64, 17, 399, -1, 400] {
+            let key = [Value::Int(key)];
+            dev.reset_io();
+            let range = eq_key_page_range(&reopened, &[0], &key).unwrap();
+            assert_eq!(range, eq_key_page_range(&built, &[0], &key).unwrap());
+            assert!(dev.io().reads <= 2 * log_pages as u64, "{:?}", dev.io());
+            dev.reset_io();
+            assert_eq!(eq_key_page_range(&reopened, &[0], &key).unwrap(), range);
+            assert_eq!(dev.io().reads, 0, "a repeated seek probes filled fences");
+        }
+        // Clones share the fences filled above.
+        dev.reset_io();
+        eq_key_page_range(&reopened.clone(), &[0], &[Value::Int(17)]).unwrap();
+        assert_eq!(dev.io().reads, 0);
+    }
+
+    /// A writer fills every fence as it starts each page, so seeking a
+    /// freshly written file reads nothing.
+    #[test]
+    fn eq_key_page_range_probes_read_no_pages() {
+        let (dev, file, _) = sample_file(400, 128);
+        dev.reset_io();
+        for key in [-3i64, 0, 123, 399, 1000] {
+            eq_key_page_range(&file, &[0], &[Value::Int(key)]).unwrap();
+        }
+        assert_eq!(dev.io().reads, 0);
     }
 
     #[test]

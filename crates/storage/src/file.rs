@@ -4,21 +4,55 @@
 //! clustering order), covering-index entry files (entries in key order) and
 //! sort spill runs — because all three are append-once, scan-sequentially
 //! structures in this engine.
+//!
+//! Each file also keeps every page's opening tuple in memory as that page's
+//! *fence* ([`TupleFile::fence`]), so a binary search over a sorted file
+//! probes memory, not pages. Files are write-once, so a fence never goes
+//! stale.
 
 use crate::device::{DeviceRef, PageId};
-use crate::page::{decode_page, PageBuilder};
+use crate::page::{decode_page, first_tuple, EncodedTuple, PageBuilder};
 use crate::store::{IntoStore, StoreRef};
 use pyro_common::{ColumnBuilder, Result, Tuple};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable sequence of tuples stored across pages of a device,
 /// accessed through a [`crate::PageStore`] (so reads and writes are cached
-/// whenever the store carries a buffer pool).
+/// whenever the store carries a buffer pool). Cloning is O(1): the page
+/// list and the fences are shared.
 #[derive(Debug, Clone)]
 pub struct TupleFile {
     store: StoreRef,
-    pages: Vec<PageId>,
+    pages: Arc<[PageId]>,
+    fences: Arc<Fences>,
     tuple_count: u64,
     byte_count: u64,
+}
+
+/// The encoded opening tuple of each page of a file, indexed like its
+/// pages.
+enum Fences {
+    /// Recorded by the writer, back to back in one buffer: page `p`'s
+    /// fence ends at `ends[p]` and starts where page `p - 1`'s ends. One
+    /// buffer per file, not an allocation per page: small allocations
+    /// interleaved with the pages measurably slowed later scans.
+    Written {
+        bytes: Box<[u8]>,
+        ends: Box<[usize]>,
+    },
+    /// A file rebuilt by [`TupleFile::from_parts`]: each page's fence is
+    /// read on first use.
+    Lazy(Box<[OnceLock<Box<[u8]>>]>),
+}
+
+impl fmt::Debug for Fences {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fences::Written { ends, .. } => write!(f, "Written({} pages)", ends.len()),
+            Fences::Lazy(slots) => write!(f, "Lazy({} pages)", slots.len()),
+        }
+    }
 }
 
 impl TupleFile {
@@ -57,7 +91,8 @@ impl TupleFile {
     /// Reassembles a file handle from persisted parts — the inverse of
     /// ([`TupleFile::pages`], [`TupleFile::tuple_count`],
     /// [`TupleFile::byte_count`]). The pages must already hold the file's
-    /// data (crash recovery guarantees this for committed files).
+    /// data (crash recovery guarantees this for committed files). The
+    /// fences start empty and are filled page by page on first use.
     pub fn from_parts(
         store: impl IntoStore,
         pages: Vec<PageId>,
@@ -66,10 +101,36 @@ impl TupleFile {
     ) -> TupleFile {
         TupleFile {
             store: store.into_store(),
-            pages,
+            fences: Arc::new(Fences::Lazy(
+                pages.iter().map(|_| OnceLock::new()).collect(),
+            )),
+            pages: pages.into(),
             tuple_count,
             byte_count,
         }
+    }
+
+    /// The opening tuple of page `page` (an index into [`TupleFile::pages`],
+    /// which must be in range), still encoded. Free once known: only the
+    /// first use of a page's fence on a file rebuilt by
+    /// [`TupleFile::from_parts`] reads the page, and then walks just that
+    /// one tuple.
+    pub fn fence(&self, page: usize) -> Result<EncodedTuple<'_>> {
+        let bytes = match &*self.fences {
+            Fences::Written { bytes, ends } => {
+                let start = page.checked_sub(1).map_or(0, |p| ends[p]);
+                &bytes[start..ends[page]]
+            }
+            Fences::Lazy(slots) => match slots[page].get() {
+                Some(fence) => fence,
+                None => {
+                    let data = self.store.read_page(self.pages[page])?;
+                    let fence = first_tuple(&data)?.into();
+                    slots[page].get_or_init(|| fence)
+                }
+            },
+        };
+        Ok(EncodedTuple(bytes))
     }
 
     /// Sequential scan. Each page read is counted by the device.
@@ -94,7 +155,7 @@ impl TupleFile {
     /// Releases all pages back to the device (used for spill runs). Cached
     /// frames of the freed pages are discarded, not written back.
     pub fn delete(self) {
-        for p in &self.pages {
+        for p in self.pages.iter() {
             self.store.free_page(*p);
         }
     }
@@ -106,6 +167,10 @@ pub struct TupleFileWriter {
     store: StoreRef,
     builder: PageBuilder,
     pages: Vec<PageId>,
+    /// Opening tuples of every started page, flushed or not, back to back
+    /// (see [`Fences::Written`]).
+    fence_bytes: Vec<u8>,
+    fence_ends: Vec<usize>,
     tuple_count: u64,
     byte_count: u64,
 }
@@ -120,6 +185,8 @@ impl TupleFileWriter {
             store,
             builder,
             pages: Vec::new(),
+            fence_bytes: Vec::new(),
+            fence_ends: Vec::new(),
             tuple_count: 0,
             byte_count: 0,
         }
@@ -131,6 +198,15 @@ impl TupleFileWriter {
             self.flush_page()?;
             let pushed = self.builder.try_push(tuple)?;
             debug_assert!(pushed, "tuple must fit in an empty page");
+        }
+        if self.builder.len() == 1 {
+            // This tuple opened a page: its encoding is the page's fence.
+            let fence = self
+                .builder
+                .opening_tuple()
+                .expect("the page holds the tuple just pushed");
+            self.fence_bytes.extend_from_slice(fence);
+            self.fence_ends.push(self.fence_bytes.len());
         }
         self.tuple_count += 1;
         self.byte_count += crate::page::encoded_len(tuple) as u64;
@@ -150,9 +226,14 @@ impl TupleFileWriter {
         if !self.builder.is_empty() {
             self.flush_page()?;
         }
+        debug_assert_eq!(self.fence_ends.len(), self.pages.len());
         Ok(TupleFile {
             store: self.store,
-            pages: self.pages,
+            pages: self.pages.into(),
+            fences: Arc::new(Fences::Written {
+                bytes: self.fence_bytes.into(),
+                ends: self.fence_ends.into(),
+            }),
             tuple_count: self.tuple_count,
             byte_count: self.byte_count,
         })
@@ -346,6 +427,33 @@ mod tests {
         assert_eq!(dev.live_pages(), blocks);
         f.delete();
         assert_eq!(dev.live_pages(), 0);
+    }
+
+    #[test]
+    fn fences_hold_each_page_opening_tuple() {
+        let dev = SimDevice::with_block_size(128);
+        let f = write_file(&dev, &rows(100)).unwrap();
+        let reopened = TupleFile::from_parts(
+            dev.clone(),
+            f.pages().to_vec(),
+            f.tuple_count(),
+            f.byte_count(),
+        );
+        dev.reset_io();
+        for p in 0..f.block_count() as usize {
+            let opening = f.scan_pages(p, p + 1).next_tuple().unwrap().unwrap();
+            assert_eq!(f.fence(p).unwrap().decode().unwrap(), opening);
+            assert_eq!(reopened.fence(p).unwrap(), f.fence(p).unwrap());
+        }
+        // One read per scanned page plus one per lazily filled fence; the
+        // writer-built file's fences cost nothing.
+        assert_eq!(dev.io().reads, 2 * f.block_count());
+        dev.reset_io();
+        let clone = reopened.clone();
+        for p in 0..f.block_count() as usize {
+            clone.fence(p).unwrap();
+        }
+        assert_eq!(dev.io().reads, 0, "clones share filled fences");
     }
 
     #[test]

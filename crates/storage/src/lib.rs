@@ -39,7 +39,7 @@ pub use device::{DeviceRef, IoSnapshot, PageDevice, PageId, SimDevice};
 pub use fault::{FaultDevice, FaultPlan};
 pub use file::{write_file, TupleFile, TupleFileScan, TupleFileWriter};
 pub use file_device::{FileDevice, FILE_HEADER_LEN, SLOT_HEADER_LEN};
-pub use page::{decode_page, decode_page_into_builders, encoded_len, PageBuilder};
+pub use page::{decode_page, decode_page_into_builders, encoded_len, EncodedTuple, PageBuilder};
 pub use pool::{BufferPool, CacheStats, PinnedPage, WriteBarrier};
 pub use store::{IntoStore, PageStore, StoreRef};
 pub use wal::{Wal, WalReplay, WAL_HEADER_LEN};

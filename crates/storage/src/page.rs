@@ -7,6 +7,8 @@
 //! genuine serialization CPU, like the systems the paper measured.
 
 use pyro_common::{ColumnBuilder, PyroError, Result, Tuple, Value};
+use std::cmp::Ordering;
+use std::fmt;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -54,6 +56,8 @@ pub struct PageBuilder {
     capacity: usize,
     buf: Vec<u8>,
     count: u16,
+    /// End offset of the page's opening tuple in `buf` (0 while empty).
+    first_end: usize,
 }
 
 impl PageBuilder {
@@ -65,6 +69,7 @@ impl PageBuilder {
             capacity,
             buf,
             count: 0,
+            first_end: 0,
         }
     }
 
@@ -83,6 +88,9 @@ impl PageBuilder {
             return Ok(false);
         }
         encode_tuple(tuple, &mut self.buf);
+        if self.count == 0 {
+            self.first_end = self.buf.len();
+        }
         self.count += 1;
         self.buf[0..2].copy_from_slice(&self.count.to_le_bytes());
         Ok(true)
@@ -98,11 +106,18 @@ impl PageBuilder {
         self.count == 0
     }
 
+    /// The page's first tuple, still encoded — `None` while the page is
+    /// empty. A file writer keeps it as the page's fence.
+    pub(crate) fn opening_tuple(&self) -> Option<&[u8]> {
+        (self.count > 0).then(|| &self.buf[2..self.first_end])
+    }
+
     /// Finishes the page, returning its bytes and resetting the builder.
     pub fn take(&mut self) -> Vec<u8> {
         let mut fresh = Vec::with_capacity(self.capacity);
         fresh.extend_from_slice(&0u16.to_le_bytes());
         self.count = 0;
+        self.first_end = 0;
         std::mem::replace(&mut self.buf, fresh)
     }
 }
@@ -122,38 +137,156 @@ pub fn decode_page_into(data: &[u8], out: &mut Vec<Tuple>) -> Result<()> {
     let count = read_u16(data, &mut pos)? as usize;
     out.reserve(count);
     for _ in 0..count {
-        let arity = read_u16(data, &mut pos)? as usize;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let tag = *data
-                .get(pos)
-                .ok_or_else(|| PyroError::Storage("truncated page: missing tag".into()))?;
-            pos += 1;
-            let v = match tag {
-                TAG_NULL => Value::Null,
-                TAG_INT => Value::Int(i64::from_le_bytes(read_arr(data, &mut pos)?)),
-                TAG_DOUBLE => Value::Double(f64::from_le_bytes(read_arr(data, &mut pos)?)),
-                TAG_STR => {
-                    let len = read_u16(data, &mut pos)? as usize;
-                    let bytes = data
-                        .get(pos..pos + len)
-                        .ok_or_else(|| PyroError::Storage("truncated page: short string".into()))?;
-                    pos += len;
-                    Value::Str(
-                        std::str::from_utf8(bytes)
-                            .map_err(|e| PyroError::Storage(format!("bad utf8: {e}")))?
-                            .to_string(),
-                    )
-                }
-                other => {
-                    return Err(PyroError::Storage(format!("unknown value tag {other}")));
-                }
-            };
-            values.push(v);
-        }
-        out.push(Tuple::new(values));
+        out.push(decode_tuple(data, &mut pos)?);
     }
     Ok(())
+}
+
+/// The first tuple of a page, left encoded: only that tuple's bytes are
+/// walked (and validated), never the rest of the page. Errors on a page
+/// that holds no tuple — writers never emit one.
+pub(crate) fn first_tuple(data: &[u8]) -> Result<&[u8]> {
+    let mut pos = 0usize;
+    if read_u16(data, &mut pos)? == 0 {
+        return Err(PyroError::Storage("page holds no tuple".into()));
+    }
+    let start = pos;
+    let arity = read_u16(data, &mut pos)?;
+    for _ in 0..arity {
+        read_value(data, &mut pos)?;
+    }
+    Ok(&data[start..pos])
+}
+
+/// One tuple in its page encoding, borrowed from wherever it is held — for
+/// a page's fence, from the [`crate::TupleFile`] that keeps it in memory so
+/// a binary search over a sorted file need not read the page.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct EncodedTuple<'a>(pub(crate) &'a [u8]);
+
+impl EncodedTuple<'_> {
+    /// Decodes the whole tuple.
+    pub fn decode(&self) -> Result<Tuple> {
+        decode_tuple(self.0, &mut 0)
+    }
+
+    /// Orders the tuple's `cols` prefix against `key` lexicographically
+    /// under the [`Value`] total order, reading the columns in place: no
+    /// `Tuple` is built and no string is copied. `cols` and `key` are
+    /// zipped, so a shorter side bounds the prefix.
+    pub fn cmp_prefix(&self, cols: &[usize], key: &[Value]) -> Result<Ordering> {
+        for (&c, k) in cols.iter().zip(key) {
+            let mut pos = 0usize;
+            let arity = read_u16(self.0, &mut pos)? as usize;
+            if c >= arity {
+                return Err(PyroError::Storage(format!(
+                    "key column {c} beyond tuple arity {arity}"
+                )));
+            }
+            for _ in 0..c {
+                read_value(self.0, &mut pos)?;
+            }
+            let ord = read_value(self.0, &mut pos)?.cmp_value(k);
+            if ord != Ordering::Equal {
+                return Ok(ord);
+            }
+        }
+        Ok(Ordering::Equal)
+    }
+}
+
+impl fmt::Debug for EncodedTuple<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "EncodedTuple({} bytes)", self.0.len())
+    }
+}
+
+/// One encoded value, borrowed from its page.
+enum RawValue<'a> {
+    Null,
+    Int(i64),
+    Double(f64),
+    Str(&'a str),
+}
+
+impl RawValue<'_> {
+    /// [`Value::cmp`] without materializing a string: non-string values
+    /// are copied out (no allocation), and a string compares its borrowed
+    /// bytes — or, against a non-string, ranks as the empty string does.
+    fn cmp_value(&self, other: &Value) -> Ordering {
+        match (self, other) {
+            (RawValue::Str(s), Value::Str(o)) => (*s).cmp(o.as_str()),
+            (RawValue::Str(_), o) => Value::Str(String::new()).cmp(o),
+            (RawValue::Null, o) => Value::Null.cmp(o),
+            (RawValue::Int(i), o) => Value::Int(*i).cmp(o),
+            (RawValue::Double(d), o) => Value::Double(*d).cmp(o),
+        }
+    }
+}
+
+/// Decodes one tuple starting at `pos`. Kept apart from [`read_value`]:
+/// building each `Value` straight from its tag is measurably faster on the
+/// scan path than going through the borrowed form.
+#[inline(always)]
+fn decode_tuple(data: &[u8], pos: &mut usize) -> Result<Tuple> {
+    let arity = read_u16(data, pos)? as usize;
+    let mut values = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        let tag = *data
+            .get(*pos)
+            .ok_or_else(|| PyroError::Storage("truncated page: missing tag".into()))?;
+        *pos += 1;
+        let v = match tag {
+            TAG_NULL => Value::Null,
+            TAG_INT => Value::Int(i64::from_le_bytes(read_arr(data, pos)?)),
+            TAG_DOUBLE => Value::Double(f64::from_le_bytes(read_arr(data, pos)?)),
+            TAG_STR => {
+                let len = read_u16(data, pos)? as usize;
+                let bytes = data
+                    .get(*pos..*pos + len)
+                    .ok_or_else(|| PyroError::Storage("truncated page: short string".into()))?;
+                *pos += len;
+                Value::Str(
+                    std::str::from_utf8(bytes)
+                        .map_err(|e| PyroError::Storage(format!("bad utf8: {e}")))?
+                        .to_string(),
+                )
+            }
+            other => {
+                return Err(PyroError::Storage(format!("unknown value tag {other}")));
+            }
+        };
+        values.push(v);
+    }
+    Ok(Tuple::new(values))
+}
+
+/// Reads one tagged value starting at `pos`; strings are UTF-8 checked.
+#[inline]
+fn read_value<'a>(data: &'a [u8], pos: &mut usize) -> Result<RawValue<'a>> {
+    let tag = *data
+        .get(*pos)
+        .ok_or_else(|| PyroError::Storage("truncated page: missing tag".into()))?;
+    *pos += 1;
+    Ok(match tag {
+        TAG_NULL => RawValue::Null,
+        TAG_INT => RawValue::Int(i64::from_le_bytes(read_arr(data, pos)?)),
+        TAG_DOUBLE => RawValue::Double(f64::from_le_bytes(read_arr(data, pos)?)),
+        TAG_STR => {
+            let len = read_u16(data, pos)? as usize;
+            let bytes = data
+                .get(*pos..*pos + len)
+                .ok_or_else(|| PyroError::Storage("truncated page: short string".into()))?;
+            *pos += len;
+            RawValue::Str(
+                std::str::from_utf8(bytes)
+                    .map_err(|e| PyroError::Storage(format!("bad utf8: {e}")))?,
+            )
+        }
+        other => {
+            return Err(PyroError::Storage(format!("unknown value tag {other}")));
+        }
+    })
 }
 
 /// Decodes a page straight into per-column [`ColumnBuilder`]s — the
@@ -303,5 +436,54 @@ mod tests {
     fn empty_page_decodes_empty() {
         let mut b = PageBuilder::new(64);
         assert_eq!(decode_page(&b.take()).unwrap(), Vec::<Tuple>::new());
+    }
+
+    #[test]
+    fn opening_tuple_is_the_first_encoded_tuple() {
+        let rows = [
+            t(vec![
+                Value::Str("a".into()),
+                Value::Double(1.5),
+                Value::Null,
+            ]),
+            t(vec![Value::Int(2), Value::Str("bb".into()), Value::Null]),
+        ];
+        let mut b = PageBuilder::new(256);
+        assert!(b.opening_tuple().is_none());
+        for r in &rows {
+            b.try_push(r).unwrap();
+            let opening = EncodedTuple(b.opening_tuple().unwrap());
+            assert_eq!(opening.decode().unwrap(), rows[0]);
+        }
+        let opening = b.opening_tuple().unwrap().to_vec();
+        let page = b.take();
+        assert!(b.opening_tuple().is_none(), "take resets the opening tuple");
+        assert_eq!(first_tuple(&page).unwrap(), opening);
+        assert!(first_tuple(&b.take()).is_err(), "an empty page has none");
+        assert!(first_tuple(&page[..page.len() - 20]).is_err(), "truncated");
+    }
+
+    #[test]
+    fn cmp_prefix_reads_columns_in_place() {
+        let mut b = PageBuilder::new(256);
+        b.try_push(&t(vec![Value::Int(5), Value::Str("m".into()), Value::Null]))
+            .unwrap();
+        let e = EncodedTuple(b.opening_tuple().unwrap());
+        let cmp = |cols: &[usize], key: &[Value]| e.cmp_prefix(cols, key).unwrap();
+        assert_eq!(cmp(&[0], &[Value::Int(5)]), Ordering::Equal);
+        assert_eq!(cmp(&[0], &[Value::Double(5.5)]), Ordering::Less);
+        assert_eq!(cmp(&[1], &[Value::Str("a".into())]), Ordering::Greater);
+        assert_eq!(cmp(&[1], &[Value::Int(9)]), Ordering::Greater, "type rank");
+        assert_eq!(cmp(&[1], &[Value::Null]), Ordering::Less, "nulls last");
+        assert_eq!(cmp(&[2], &[Value::Null]), Ordering::Equal);
+        assert_eq!(
+            cmp(&[0, 2], &[Value::Int(5), Value::Str("z".into())]),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp(&[1, 0], &[Value::Str("m".into()), Value::Int(6)]),
+            Ordering::Less
+        );
+        assert!(e.cmp_prefix(&[3], &[Value::Int(0)]).is_err());
     }
 }

@@ -706,17 +706,9 @@ impl Session {
             fingerprint: self.knob_fingerprint(),
             generation: self.catalog.generation(),
         };
-        if let Some(stmt) = cache.lookup(&key) {
-            let info = PlanCacheInfo {
-                hit: true,
-                stats: cache.stats(),
-            };
-            return Ok((stmt, Some(info)));
-        }
-        let stmt = Arc::new(self.optimize_statement(sql)?);
-        cache.insert(key, Arc::clone(&stmt));
+        let (stmt, hit) = cache.get_or_plan(key, || self.optimize_statement(sql))?;
         let info = PlanCacheInfo {
-            hit: false,
+            hit,
             stats: cache.stats(),
         };
         Ok((stmt, Some(info)))

@@ -192,3 +192,125 @@ fn kill9_mid_ingest_recovers_committed_prefix_bit_identically() {
         );
     }
 }
+
+/// Point lookups on a reopened session: the recovered files start with
+/// empty page fences and fill them on first use. Every prepared
+/// `l_orderkey = ?` lookup — each order key, plus keys below, between and
+/// above the domain — must equal a full-scan reference, and a repeated
+/// lookup must read no page beyond the range it scans. Then four threads
+/// seek the same freshly reopened file at once.
+#[test]
+fn seeks_after_reopen_match_full_scan() {
+    use pyro::datagen::tpch::{self, TpchConfig};
+    use pyro::exec::scan::eq_key_page_range;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    const SEED: u64 = 7;
+    const POINT: &str = "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_orderkey = ? \
+                         ORDER BY l_orderkey, l_quantity";
+    let dir = fresh_dir("durability_seek_fences");
+    let cfg = TpchConfig::scaled(0.002);
+    let open = || {
+        SessionBuilder::new()
+            .data_dir(&dir)
+            .buffer_pool_pages(16)
+            .seed(SEED)
+            .open()
+            .expect("open durable session")
+    };
+    {
+        let mut session = open();
+        tpch::load_with_seed(session.catalog_mut(), cfg, SEED).expect("load");
+    }
+
+    // Reference: a full scan of an independent in-memory copy.
+    let mut mem = SessionBuilder::new().seed(SEED).build();
+    tpch::load_with_seed(mem.catalog_mut(), cfg, SEED).expect("load in memory");
+    let mut reference: HashMap<i64, Vec<Tuple>> = HashMap::new();
+    for row in mem
+        .sql("SELECT l_orderkey, l_quantity FROM lineitem ORDER BY l_orderkey, l_quantity")
+        .expect("full scan")
+        .into_rows()
+    {
+        let key = row.get(0).as_int().expect("integer key");
+        reference.entry(key).or_default().push(row);
+    }
+    let orders = reference.len() as i64;
+    assert_eq!(reference.keys().max(), Some(&(orders - 1)), "dense keys");
+    // Numeric keys compare numerically, so a whole double finds its order.
+    fn expect<'a>(reference: &'a HashMap<i64, Vec<Tuple>>, key: &Value) -> &'a [Tuple] {
+        let k = match key {
+            Value::Int(k) => *k,
+            Value::Double(d) if d.fract() == 0.0 => *d as i64,
+            _ => return &[],
+        };
+        reference.get(&k).map_or(&[], Vec::as_slice)
+    }
+    let mut keys: Vec<Value> = (0..orders).map(Value::Int).collect();
+    keys.extend([-1, orders, orders + 1000].map(Value::Int));
+    keys.extend([-0.5, 10.5, (orders / 2) as f64 + 0.5, 20.0].map(Value::Double));
+
+    let session = open();
+    let heap = session
+        .catalog()
+        .table("lineitem")
+        .expect("lineitem")
+        .heap
+        .clone();
+    let dev = session.catalog().device().clone();
+    let stmt = session.prepare(POINT).expect("prepare");
+    for key in &keys {
+        let binding = std::slice::from_ref(key);
+        let first = stmt.execute(binding).expect("first lookup");
+        assert_eq!(
+            first.rows(),
+            expect(&reference, key),
+            "first lookup of {key}"
+        );
+        // The first lookup filled the fences its search probes.
+        let before = dev.io();
+        let (start, end) = eq_key_page_range(&heap, &[0], binding).expect("seek");
+        assert_eq!(
+            dev.io().since(&before).reads,
+            0,
+            "probes of {key} are in memory"
+        );
+        let before = dev.io();
+        let second = stmt.execute(binding).expect("second lookup");
+        let reads = dev.io().since(&before).reads;
+        assert_eq!(
+            second.rows(),
+            expect(&reference, key),
+            "second lookup of {key}"
+        );
+        assert!(
+            reads <= (end - start) as u64,
+            "second lookup of {key} read {reads} pages, scans {start}..{end}"
+        );
+    }
+    drop(stmt);
+    drop(session);
+
+    // Four threads seek one freshly reopened file, filling its fences as
+    // they go; each visits every key, starting a quarter further along.
+    let session = Arc::new(open());
+    let keys = Arc::new(keys);
+    let reference = Arc::new(reference);
+    let handles: Vec<_> = (0..4)
+        .map(|t| {
+            let (session, keys, reference) = (session.clone(), keys.clone(), reference.clone());
+            std::thread::spawn(move || {
+                let stmt = session.prepare(POINT).expect("prepare");
+                let skip = t * keys.len() / 4;
+                for key in keys.iter().cycle().skip(skip).take(keys.len()) {
+                    let got = stmt.execute(std::slice::from_ref(key)).expect("lookup");
+                    assert_eq!(got.rows(), expect(&reference, key), "thread {t}, key {key}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("seeking thread must not panic");
+    }
+}
