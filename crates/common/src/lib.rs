@@ -19,5 +19,5 @@ pub mod value;
 pub use columnar::{CellRef, ColumnBuilder, ColumnData, ColumnVec, ColumnarBatch, NullBitmap};
 pub use error::{PyroError, Result};
 pub use schema::{Column, DataType, Schema};
-pub use tuple::{KeySpec, Tuple};
+pub use tuple::{AbbrevKey, KeySpec, Tuple};
 pub use value::Value;

@@ -176,6 +176,119 @@ impl KeySpec {
         (Ordering::Equal, n)
     }
 
+    /// The abbreviated key of `t`: an order-preserving 8-byte word of its
+    /// leading key column (see [`AbbrevKey`]). An empty key abbreviates
+    /// every tuple alike, so [`KeySpec::compare_abbrev`] always falls back.
+    pub fn abbreviate(&self, t: &Tuple) -> AbbrevKey {
+        let Some(&c) = self.cols.first() else {
+            return AbbrevKey::NULL;
+        };
+        match t.get(c) {
+            Value::Int(v) => AbbrevKey {
+                word: (*v as u64) ^ SIGN_BIT,
+                tag: AbbrevKey::INT,
+            },
+            Value::Double(v) => {
+                // The `f64::total_cmp` transform: negative values flip every
+                // bit, non-negative ones only the sign bit.
+                let bits = v.to_bits();
+                let word = if bits & SIGN_BIT != 0 {
+                    !bits
+                } else {
+                    bits ^ SIGN_BIT
+                };
+                AbbrevKey {
+                    word,
+                    tag: AbbrevKey::DOUBLE,
+                }
+            }
+            Value::Str(s) => {
+                let bytes = s.as_bytes();
+                let n = bytes.len().min(8);
+                let mut prefix = [0u8; 8];
+                prefix[..n].copy_from_slice(&bytes[..n]);
+                AbbrevKey {
+                    word: u64::from_be_bytes(prefix),
+                    tag: AbbrevKey::STR,
+                }
+            }
+            Value::Null => AbbrevKey::NULL,
+        }
+    }
+
+    /// [`KeySpec::compare_counting`] with abbreviated keys: `ka` and `kb`
+    /// must be [`KeySpec::abbreviate`] of `a` and `b` under this key.
+    ///
+    /// Different type ranks or different words under one tag decide the
+    /// leading column alone — one scalar comparison, exactly as
+    /// `compare_counting` would charge. Everything else (equal words, which
+    /// strings longer than 8 bytes or NULLs may hide, and an `Int` against
+    /// a `Double`) falls back to `compare_counting` on the tuples, so the
+    /// `(Ordering, count)` pair equals `compare_counting(a, b)` by
+    /// construction.
+    #[inline]
+    pub fn compare_abbrev(
+        &self,
+        ka: AbbrevKey,
+        a: &Tuple,
+        kb: AbbrevKey,
+        b: &Tuple,
+    ) -> (Ordering, u64) {
+        if ka.tag == kb.tag {
+            if ka.word != kb.word {
+                return (ka.word.cmp(&kb.word), 1);
+            }
+        } else if ka.rank() != kb.rank() {
+            return (ka.rank().cmp(&kb.rank()), 1);
+        }
+        self.compare_counting(a, b)
+    }
+
+    /// Stably sorts `buf` by this key and returns the scalar comparisons
+    /// made — the same permutation and the same count as
+    /// `buf.sort_by` over [`KeySpec::compare_counting`].
+    ///
+    /// The sort moves 16-byte `(word, index, tag)` entries rather than the
+    /// rows, and most comparisons read only the entries' words; the rows
+    /// are permuted into place once at the end. An entry is the size of a
+    /// [`Tuple`] on purpose: the standard library's stable sort sizes its
+    /// scratch and small-sort cut-offs from the element size, and only at
+    /// equal sizes does it issue the very same comparison sequence — which
+    /// is what keeps the charged count identical.
+    pub fn sort_counting(&self, buf: &mut [Tuple]) -> u64 {
+        if self.cols.is_empty() || buf.len() < 2 {
+            // Every pair compares equal at zero cost; stable order is the
+            // input order.
+            return 0;
+        }
+        let mut entries: Vec<SortEntry> = buf
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let k = self.abbreviate(t);
+                SortEntry {
+                    word: k.word,
+                    idx: u32::try_from(i).expect("sort buffer exceeds u32::MAX rows"),
+                    tag: k.tag,
+                }
+            })
+            .collect();
+        let mut count = 0u64;
+        let rows: &[Tuple] = buf;
+        entries.sort_by(|x, y| {
+            let (ord, n) = self.compare_abbrev(
+                x.key(),
+                &rows[x.idx as usize],
+                y.key(),
+                &rows[y.idx as usize],
+            );
+            count += n;
+            ord
+        });
+        permute(buf, &mut entries);
+        count
+    }
+
     /// True iff `a` and `b` agree on every key column.
     pub fn eq_on(&self, a: &Tuple, b: &Tuple) -> bool {
         self.compare(a, b) == Ordering::Equal
@@ -192,6 +305,87 @@ impl KeySpec {
     /// (i.e. `other` is a prefix of `self`).
     pub fn satisfies(&self, other: &KeySpec) -> bool {
         other.cols.len() <= self.cols.len() && self.cols[..other.cols.len()] == other.cols[..]
+    }
+}
+
+const SIGN_BIT: u64 = 1 << 63;
+
+/// An abbreviated sort key: a type tag and an order-preserving `u64` word
+/// of a tuple's leading key column, built by [`KeySpec::abbreviate`].
+///
+/// * `Int`: the value with its sign bit flipped;
+/// * `Double`: the `f64::total_cmp` bit transform;
+/// * `Str`: the first 8 bytes, big-endian, zero-padded;
+/// * `NULL`: a tag that ranks after every other one.
+///
+/// Under one tag, a smaller word means a smaller value; an equal word
+/// decides nothing (strings may differ after byte 8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AbbrevKey {
+    /// Order-preserving word of the leading key column.
+    pub word: u64,
+    /// Value kind of the leading key column.
+    pub tag: u8,
+}
+
+impl AbbrevKey {
+    const INT: u8 = 0;
+    const DOUBLE: u8 = 1;
+    const STR: u8 = 2;
+    const NULL_TAG: u8 = 3;
+    const NULL: AbbrevKey = AbbrevKey {
+        word: 0,
+        tag: AbbrevKey::NULL_TAG,
+    };
+
+    /// The cross-type rank of [`Value`]'s order: numbers (`INT` and
+    /// `DOUBLE` share rank 0), then strings, then NULL.
+    #[inline]
+    fn rank(self) -> u8 {
+        self.tag.max(Self::DOUBLE) - 1
+    }
+}
+
+/// One row of [`KeySpec::sort_counting`]: its abbreviated key split around
+/// the row index so the entry packs into 16 bytes.
+struct SortEntry {
+    word: u64,
+    idx: u32,
+    tag: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<SortEntry>() == std::mem::size_of::<Tuple>());
+
+impl SortEntry {
+    #[inline]
+    fn key(&self) -> AbbrevKey {
+        AbbrevKey {
+            word: self.word,
+            tag: self.tag,
+        }
+    }
+}
+
+/// Reorders `buf` in place so slot `i` holds the row `entries[i].idx`
+/// named, following each permutation cycle once (entries are marked done
+/// by pointing them at themselves).
+fn permute(buf: &mut [Tuple], entries: &mut [SortEntry]) {
+    for start in 0..entries.len() {
+        if entries[start].idx as usize == start {
+            continue;
+        }
+        let held = std::mem::take(&mut buf[start]);
+        let mut slot = start;
+        loop {
+            let src = entries[slot].idx as usize;
+            entries[slot].idx = slot as u32;
+            if src == start {
+                buf[slot] = held;
+                break;
+            }
+            buf[slot] = std::mem::take(&mut buf[src]);
+            slot = src;
+        }
     }
 }
 
@@ -267,5 +461,122 @@ mod tests {
     #[test]
     fn byte_size_grows_with_content() {
         assert!(t(&[1, 2, 3]).byte_size() > t(&[1]).byte_size());
+    }
+
+    /// Values whose abbreviations collide, tie or cross types: signed
+    /// zeros, NaNs, infinities, strings sharing 8-byte prefixes or holding
+    /// NULs and multibyte characters, NULL, the `i64` extremes, and `Int`s
+    /// next to equal or adjacent `Double`s.
+    fn abbrev_pool() -> Vec<Value> {
+        let mut pool = vec![
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Double(f64::INFINITY),
+            Value::Double(f64::NEG_INFINITY),
+            Value::Double(1.0),
+            Value::Double(-2.5),
+            Value::Double(9007199254740992.0),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(-3),
+            Value::Int(9007199254740993),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Null,
+        ];
+        for s in [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "abcdefgh",
+            "abcdefgh\0",
+            "abcdefghX",
+            "abcdefghY",
+            "abcdefg\u{e9}",
+            "\u{1F600}\u{1F600}",
+            "\u{1F600}\u{1F601}",
+        ] {
+            pool.push(Value::Str(s.to_string()));
+        }
+        pool
+    }
+
+    #[test]
+    fn compare_abbrev_matches_compare_counting() {
+        let pool = abbrev_pool();
+        // Every pool value in every column position, over a few partners.
+        let partners = [Value::Null, Value::Int(1), Value::Double(-0.0)];
+        let mut rows = Vec::new();
+        for (i, a) in pool.iter().enumerate() {
+            for b in &pool {
+                let c = partners[i % partners.len()].clone();
+                rows.push(Tuple::new(vec![a.clone(), b.clone(), c]));
+            }
+        }
+        let keys = [
+            vec![0],
+            vec![2],
+            vec![0, 1],
+            vec![1, 0],
+            vec![0, 1, 2],
+            vec![2, 1, 0],
+        ];
+        for cols in keys {
+            let key = KeySpec::new(cols);
+            let abbrevs: Vec<AbbrevKey> = rows.iter().map(|r| key.abbreviate(r)).collect();
+            for (a, ka) in rows.iter().zip(&abbrevs) {
+                for (b, kb) in rows.iter().zip(&abbrevs) {
+                    assert_eq!(
+                        key.compare_abbrev(*ka, a, *kb, b),
+                        key.compare_counting(a, b),
+                        "{a} vs {b} under {:?}",
+                        key.cols()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sort_counting_matches_sort_by_compare_counting() {
+        let pool = abbrev_pool();
+        let mut state = 0x5eed_u64;
+        let mut pick = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for len in [0usize, 1, 2, 7, 20, 21, 33, 64, 200, 257, 1000, 4000] {
+            for cols in [vec![0], vec![0, 1], vec![1, 0, 2], vec![]] {
+                let key = KeySpec::new(cols);
+                // Column 2 is a unique row id: it pins the exact stable
+                // permutation, not merely an order-equal one.
+                let rows: Vec<Tuple> = (0..len)
+                    .map(|id| {
+                        Tuple::new(vec![
+                            pool[pick(pool.len())].clone(),
+                            pool[pick(6)].clone(),
+                            Value::Int(id as i64),
+                        ])
+                    })
+                    .collect();
+                let mut expect = rows.clone();
+                let mut expect_count = 0u64;
+                expect.sort_by(|a, b| {
+                    let (ord, n) = key.compare_counting(a, b);
+                    expect_count += n;
+                    ord
+                });
+                let mut got = rows;
+                let count = key.sort_counting(&mut got);
+                assert_eq!(count, expect_count, "len {len} key {:?}", key.cols());
+                let ids = |v: &[Tuple]| v.iter().map(|t| t.get(2).as_int()).collect::<Vec<_>>();
+                assert_eq!(ids(&got), ids(&expect), "len {len} key {:?}", key.cols());
+            }
+        }
     }
 }

@@ -47,16 +47,10 @@ impl SortBudget {
     }
 }
 
-/// Sorts a buffer by `key`. Scalar comparisons accumulate in a local
-/// counter and are charged to the metrics **once per call** — the counter
-/// total is identical to per-comparison charging, without a shared-`Cell`
-/// bump inside the sort's inner loop.
+/// Sorts a buffer by `key` on abbreviated keys
+/// ([`KeySpec::sort_counting`]). Scalar comparisons are charged to the
+/// metrics **once per call** — the same total as per-comparison charging of
+/// `compare_counting`, without a shared-`Cell` bump in the inner loop.
 pub(crate) fn sort_buffer(buf: &mut [Tuple], key: &KeySpec, metrics: &MetricsRef) {
-    let mut acc: u64 = 0;
-    buf.sort_by(|a, b| {
-        let (ord, n) = key.compare_counting(a, b);
-        acc += n;
-        ord
-    });
-    metrics.add_comparisons(acc);
+    metrics.add_comparisons(key.sort_counting(buf));
 }

@@ -22,8 +22,9 @@ use super::runs::{InMemorySortStream, MergeStream};
 use super::{sort_buffer, SortBudget};
 use crate::metrics::MetricsRef;
 use crate::op::{pull_row, BoxOp, Operator, Stash, DEFAULT_BATCH_SIZE};
-use pyro_common::{KeySpec, Result, Schema, Tuple};
+use pyro_common::{KeySpec, Result, Schema, Tuple, Value};
 use pyro_storage::{IntoStore, StoreRef, TupleFile};
+use std::cmp::Ordering;
 
 enum Output {
     Buffered(InMemorySortStream),
@@ -46,7 +47,7 @@ pub struct PartialSort {
     buffer_bytes: usize,
     /// Prefix values identifying the current segment (set on its first
     /// tuple, cleared when it closes). Survives buffer spills.
-    segment_key: Option<Vec<pyro_common::Value>>,
+    segment_key: Option<Vec<Value>>,
     /// Spill runs of the current segment (only when it outgrew memory).
     segment_runs: Vec<TupleFile>,
     /// First tuple of the *next* segment, read but not yet accumulated.
@@ -102,25 +103,23 @@ impl PartialSort {
         self.segments_seen
     }
 
-    /// Extracts the prefix values of `t`.
-    fn prefix_key_of(&self, t: &Tuple) -> Vec<pyro_common::Value> {
-        t.key(self.prefix.cols())
-    }
-
-    /// True iff `t` belongs to the current segment; charges the prefix
-    /// comparisons performed.
-    fn matches_segment(&self, key: &[pyro_common::Value], t: &Tuple) -> bool {
-        let mut n = 0u64;
-        let mut eq = true;
+    /// True iff `t` opens a new segment. The first row after a segment
+    /// closes opens the next one and records its prefix values; later rows
+    /// compare against that stored prefix in place, one scalar comparison
+    /// per column (added to `cmps`), under `Value`'s total order — the
+    /// order the input is clustered and sorted by.
+    fn starts_new_segment(&mut self, t: &Tuple, cmps: &mut u64) -> bool {
+        let Some(key) = &self.segment_key else {
+            self.segment_key = Some(t.key(self.prefix.cols()));
+            return false;
+        };
         for (k, &c) in key.iter().zip(self.prefix.cols()) {
-            n += 1;
-            if k != t.get(c) {
-                eq = false;
-                break;
+            *cmps += 1;
+            if k.cmp(t.get(c)) != Ordering::Equal {
+                return true;
             }
         }
-        self.metrics.add_comparisons(n);
-        eq
+        false
     }
 
     /// Spills the current buffer as one sorted run of the current segment.
@@ -167,50 +166,52 @@ impl PartialSort {
     /// spill boundaries (and the charged comparisons behind them) are
     /// identical row-wise and batch-wise.
     fn admit(&mut self, t: Tuple) -> Result<()> {
-        if self.buffer_bytes + t.byte_size() > self.budget.bytes() && !self.buffer.is_empty() {
+        let size = t.byte_size();
+        if self.buffer_bytes + size > self.budget.bytes() && !self.buffer.is_empty() {
             self.spill_buffer()?;
         }
-        self.buffer_bytes += t.byte_size();
+        self.buffer_bytes += size;
         self.buffer.push(t);
         Ok(())
     }
 
     /// Accumulates input until the current segment ends (or input does).
-    /// Returns `true` if a segment was closed.
+    /// Returns `true` if a segment was closed. Segment-boundary comparisons
+    /// accumulate locally and are charged once per call, errors included.
     fn fill_segment(&mut self, batched: bool) -> Result<bool> {
-        if batched {
-            self.fill_segment_batched()
+        let mut cmps = 0;
+        let closed = if batched {
+            self.fill_segment_batched(&mut cmps)
         } else {
-            self.fill_segment_rows()
-        }
+            self.fill_segment_rows(&mut cmps)
+        };
+        self.metrics.add_comparisons(cmps);
+        closed
     }
 
-    fn fill_segment_rows(&mut self) -> Result<bool> {
+    /// Input is exhausted: closes the last segment, if it holds anything.
+    fn end_of_input(&mut self) -> Result<bool> {
+        self.input_done = true;
+        if self.buffer.is_empty() && self.segment_runs.is_empty() {
+            return Ok(false);
+        }
+        self.close_segment()?;
+        Ok(true)
+    }
+
+    fn fill_segment_rows(&mut self, cmps: &mut u64) -> Result<bool> {
         loop {
             let t = match self.pending.take() {
                 Some(t) => Some(t),
                 None => pull_row(&mut self.child, &mut self.stash, false)?,
             };
             let Some(t) = t else {
-                self.input_done = true;
-                if !self.buffer.is_empty() || !self.segment_runs.is_empty() {
-                    self.close_segment()?;
-                    return Ok(true);
-                }
-                return Ok(false);
+                return self.end_of_input();
             };
-            match &self.segment_key {
-                None => self.segment_key = Some(self.prefix_key_of(&t)),
-                Some(key) if !self.prefix.is_empty() => {
-                    // Borrow dance: clone the small key out for the check.
-                    let key = key.clone();
-                    if !self.matches_segment(&key, &t) {
-                        self.pending = Some(t);
-                        self.close_segment()?;
-                        return Ok(true);
-                    }
-                }
-                Some(_) => {} // empty prefix: one segment spans the input
+            if self.starts_new_segment(&t, cmps) {
+                self.pending = Some(t);
+                self.close_segment()?;
+                return Ok(true);
             }
             self.admit(t)?;
         }
@@ -221,37 +222,25 @@ impl PartialSort {
     /// the batch is stashed for the next segment. Boundary checks, charged
     /// comparisons and spill points are per-row exactly as in
     /// [`Self::fill_segment_rows`].
-    fn fill_segment_batched(&mut self) -> Result<bool> {
+    fn fill_segment_batched(&mut self, cmps: &mut u64) -> Result<bool> {
         // The row deferred at the previous boundary opens this segment; it
         // can never itself be a boundary (the key was just cleared).
         if let Some(t) = self.pending.take() {
             debug_assert!(self.segment_key.is_none(), "pending row mid-segment");
-            self.segment_key = Some(self.prefix_key_of(&t));
+            self.starts_new_segment(&t, cmps);
             self.admit(t)?;
         }
         loop {
             let Some(chunk) = self.stash.next_chunk(&mut self.child)? else {
-                self.input_done = true;
-                if !self.buffer.is_empty() || !self.segment_runs.is_empty() {
-                    self.close_segment()?;
-                    return Ok(true);
-                }
-                return Ok(false);
+                return self.end_of_input();
             };
             let mut it = chunk.into_iter();
             while let Some(t) = it.next() {
-                match &self.segment_key {
-                    None => self.segment_key = Some(self.prefix_key_of(&t)),
-                    Some(key) if !self.prefix.is_empty() => {
-                        let key = key.clone();
-                        if !self.matches_segment(&key, &t) {
-                            self.pending = Some(t);
-                            self.stash.preload(it.collect());
-                            self.close_segment()?;
-                            return Ok(true);
-                        }
-                    }
-                    Some(_) => {} // empty prefix: one segment spans the input
+                if self.starts_new_segment(&t, cmps) {
+                    self.pending = Some(t);
+                    self.stash.preload(it.collect());
+                    self.close_segment()?;
+                    return Ok(true);
                 }
                 self.admit(t)?;
             }

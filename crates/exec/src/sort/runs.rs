@@ -3,7 +3,7 @@
 
 use super::SortBudget;
 use crate::metrics::MetricsRef;
-use pyro_common::{KeySpec, Result, Tuple};
+use pyro_common::{AbbrevKey, KeySpec, Result, Tuple};
 use pyro_storage::{StoreRef, TupleFile, TupleFileScan, TupleFileWriter};
 use std::cmp::Ordering;
 
@@ -29,7 +29,17 @@ pub(crate) fn write_run(
 struct OpenRun {
     scan: TupleFileScan,
     file: Option<TupleFile>,
-    head: Option<Tuple>,
+    /// The run's next tuple with its abbreviated key, computed once per
+    /// head rather than once per comparison.
+    head: Option<(AbbrevKey, Tuple)>,
+}
+
+impl OpenRun {
+    /// Reads the run's next tuple into `head`.
+    fn advance(&mut self, key: &KeySpec) -> Result<()> {
+        self.head = self.scan.next_tuple()?.map(|t| (key.abbreviate(&t), t));
+        Ok(())
+    }
 }
 
 /// Streaming k-way merge over sorted runs. Run pages are charged as *run
@@ -73,13 +83,13 @@ impl MergeStream {
         let mut runs = Vec::with_capacity(files.len());
         for file in files {
             metrics.add_run_pages_read(file.block_count());
-            let mut scan = file.scan();
-            let head = scan.next_tuple()?;
-            runs.push(OpenRun {
-                scan,
+            let mut run = OpenRun {
+                scan: file.scan(),
                 file: Some(file),
-                head,
-            });
+                head: None,
+            };
+            run.advance(&key)?;
+            runs.push(run);
         }
         Ok(MergeStream { runs, key, metrics })
     }
@@ -118,17 +128,14 @@ impl MergeStream {
         // small fan-ins used here.
         let mut best: Option<usize> = None;
         for i in 0..self.runs.len() {
-            if self.runs[i].head.is_none() {
+            let Some((ka, ta)) = &self.runs[i].head else {
                 continue;
-            }
+            };
             best = Some(match best {
                 None => i,
                 Some(b) => {
-                    let (ta, tb) = (
-                        self.runs[i].head.as_ref().expect("head is some"),
-                        self.runs[b].head.as_ref().expect("head is some"),
-                    );
-                    let (ord, n) = self.key.compare_counting(ta, tb);
+                    let (kb, tb) = self.runs[b].head.as_ref().expect("head is some");
+                    let (ord, n) = self.key.compare_abbrev(*ka, ta, *kb, tb);
                     *acc += n;
                     if ord == Ordering::Less {
                         i
@@ -139,8 +146,8 @@ impl MergeStream {
             });
         }
         let Some(i) = best else { return Ok(None) };
-        let out = self.runs[i].head.take().expect("winner has a head");
-        self.runs[i].head = self.runs[i].scan.next_tuple()?;
+        let (_, out) = self.runs[i].head.take().expect("winner has a head");
+        self.runs[i].advance(&self.key)?;
         if self.runs[i].head.is_none() {
             // Run exhausted: free its pages.
             if let Some(f) = self.runs[i].file.take() {

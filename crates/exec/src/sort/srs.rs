@@ -90,24 +90,26 @@ impl StandardReplacementSort {
             'ingest: while let Some(chunk) = self.stash.next_chunk(&mut child)? {
                 let mut it = chunk.into_iter();
                 while let Some(t) = it.next() {
-                    if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
+                    let size = t.byte_size();
+                    if bytes + size > budget_bytes && !buffer.is_empty() {
                         overflow = Some(t);
                         // Unconsumed rows feed the replacement-selection
                         // refill loop below.
                         self.stash.preload(it.collect());
                         break 'ingest;
                     }
-                    bytes += t.byte_size();
+                    bytes += size;
                     buffer.push(t);
                 }
             }
         } else {
             while let Some(t) = pull_row(&mut child, &mut self.stash, false)? {
-                if bytes + t.byte_size() > budget_bytes && !buffer.is_empty() {
+                let size = t.byte_size();
+                if bytes + size > budget_bytes && !buffer.is_empty() {
                     overflow = Some(t);
                     break;
                 }
-                bytes += t.byte_size();
+                bytes += size;
                 buffer.push(t);
             }
         }
@@ -121,7 +123,7 @@ impl StandardReplacementSort {
         // Replacement selection: heapify the buffer as run 0, then cycle.
         let mut heap = RsHeap::new(self.key.clone(), self.metrics.clone());
         for t in buffer {
-            heap.push(0, t);
+            heap.push(0, self.key.abbreviate(&t), t);
         }
         let mut admission_cmps: u64 = 0;
         let mut next_input = overflow;
@@ -143,21 +145,22 @@ impl StandardReplacementSort {
                 }
                 Some(_) => {}
             }
-            let (_, tuple) = heap.pop().expect("peek_run returned Some");
+            let (_, floor, tuple) = heap.pop().expect("peek_run returned Some");
             writer.append(&tuple)?;
 
             // Refill from input while there is input left. The just-emitted
             // tuple is the floor for current-run admission: anything smaller
             // must wait for the next run or the run would become unsorted.
             if let Some(incoming) = next_input.take() {
-                let (ord, n) = self.key.compare_counting(&incoming, &tuple);
+                let abbrev = self.key.abbreviate(&incoming);
+                let (ord, n) = self.key.compare_abbrev(abbrev, &incoming, floor, &tuple);
                 admission_cmps += n;
                 let run = if ord == Ordering::Less {
                     current_run + 1
                 } else {
                     current_run
                 };
-                heap.push(run, incoming);
+                heap.push(run, abbrev, incoming);
                 next_input = pull_row(&mut child, &mut self.stash, batched)?;
             }
         }

@@ -201,3 +201,49 @@ fn top_k_via_mrs_reads_less() {
         "Top-K should compare at least 10x less: {cmp_limited} vs {cmp_full}"
     );
 }
+
+/// Rows of `(k Double, v Int)` in `k`'s total order: two signed zeros (two
+/// segments under `total_cmp`, one under f64 `==`) and two NaNs with the
+/// same bits (one segment under `total_cmp`, two under `==`).
+fn signed_zero_nan_rows() -> Vec<pyro::common::Tuple> {
+    let d = |k: f64, v: i64| pyro::common::Tuple::new(vec![Value::Double(k), Value::Int(v)]);
+    vec![
+        d(-2.5, 4),
+        d(-0.0, 5),
+        d(-0.0, 2),
+        d(0.0, 1),
+        d(1.5, 7),
+        d(f64::NAN, 9),
+        d(f64::NAN, 3),
+    ]
+}
+
+#[test]
+fn partial_sort_agrees_with_full_sort_on_signed_zeros_and_nans() {
+    use pyro::common::{Column, DataType, Schema};
+    let schema = Schema::new(vec![
+        Column::new("k", DataType::Double),
+        Column::new("v", DataType::Int),
+    ]);
+    let rows = signed_zero_nan_rows();
+    let mut session = Session::new();
+    session
+        .register_table("t", schema, pyro::SortOrder::new(["k"]), &rows)
+        .unwrap();
+    let mut expect = rows;
+    expect.sort_by(|a, b| a.values().cmp(b.values()));
+    let sql = "SELECT k, v FROM t ORDER BY k, v";
+    let mut saw_partial_sort = false;
+    for strategy in Strategy::all() {
+        session.set_strategy(strategy);
+        saw_partial_sort |= session.explain(sql).unwrap().contains("Partial Sort");
+        let got = session.sql(sql).unwrap().into_rows();
+        // Compare under `Ord`: NaN != NaN under `==`.
+        assert!(
+            got.len() == expect.len() && got.iter().zip(&expect).all(|(a, b)| a.cmp(b).is_eq()),
+            "{}: {got:?}\n expected {expect:?}",
+            strategy.name()
+        );
+    }
+    assert!(saw_partial_sort, "no strategy planned a partial sort");
+}

@@ -74,43 +74,116 @@ fn srs_sorts_any_input() {
     });
 }
 
-/// MRS on prefix-sorted input ≡ SRS ≡ std sort, for any budget.
+/// Sort-key edge values: signed zeros, NaNs and infinities; strings that
+/// share 8-byte prefixes or hold NULs, multibyte characters or nothing;
+/// NULL; the `i64` extremes; and `Int`s next to equal or adjacent
+/// `Double`s, so one column mixes both.
+fn edge_values() -> Vec<Value> {
+    let mut pool = vec![
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Double(f64::NAN),
+        Value::Double(-f64::NAN),
+        Value::Double(f64::INFINITY),
+        Value::Double(f64::NEG_INFINITY),
+        Value::Double(1.0),
+        Value::Double(2.5),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Null,
+    ];
+    for s in [
+        "",
+        "\0",
+        "a\0b",
+        "abcdefgh",
+        "abcdefgh\0",
+        "abcdefghij",
+        "abcdefghik",
+        "abcdefg\u{e9}",
+        "\u{1F600}\u{1F600}x",
+        "\u{1F600}\u{1F600}y",
+    ] {
+        pool.push(Value::Str(s.to_string()));
+    }
+    pool
+}
+
+/// Runs MRS (prefix `a`) and SRS over `data` — `(a, b, id)` rows already
+/// sorted on `a` — and checks both against a std sort on `(a, b)`. Rows are
+/// compared under `Ord` (NaN != NaN under `==`), and the unique `id`
+/// column pins each output as a permutation of the input.
+fn check_mrs_srs_std(data: Vec<Tuple>, budget_blocks: u64) {
+    let key = KeySpec::new(vec![0, 1]);
+    let schema = Schema::ints(&["a", "b", "id"]);
+    let mrs_out = collect(Box::new(PartialSort::new(
+        Box::new(ValuesOp::new(schema.clone(), data.clone())),
+        key.clone(),
+        1,
+        SimDevice::with_block_size(256),
+        SortBudget::new(budget_blocks, 256),
+        ExecMetrics::new(),
+    )))
+    .unwrap();
+    let srs_out = collect(Box::new(StandardReplacementSort::new(
+        Box::new(ValuesOp::new(schema, data.clone())),
+        key.clone(),
+        SimDevice::with_block_size(256),
+        SortBudget::new(budget_blocks, 256),
+        ExecMetrics::new(),
+    )))
+    .unwrap();
+    let mut expect = data;
+    expect.sort_by(|x, y| key.compare(x, y));
+    let ids = |rows: &[Tuple]| {
+        let mut ids: Vec<i64> = rows.iter().map(|t| t.get(2).as_int().unwrap()).collect();
+        ids.sort_unstable();
+        ids
+    };
+    for (name, out) in [("MRS", &mrs_out), ("SRS", &srs_out)] {
+        assert_eq!(out.len(), expect.len(), "{name} row count");
+        for (got, want) in out.iter().zip(&expect) {
+            assert!(
+                key.compare(got, want).is_eq(),
+                "{name}: {got} where the std sort has {want}"
+            );
+        }
+        assert_eq!(ids(out), ids(&expect), "{name} is not a permutation");
+    }
+}
+
+/// MRS on prefix-sorted input ≡ SRS ≡ std sort, for any budget: over `Int`
+/// pairs, and over rows drawn from [`edge_values`].
 #[test]
 fn mrs_equals_srs_equals_std_sort() {
     for_all_cases(|rng| {
         let mut rows = pairs(rng, 400, 20, 100);
         let budget_blocks = rng.gen_range(3u64..20);
         rows.sort_by_key(|r| r.0); // establish the prefix order
-        let data = tuples2(&rows);
-        let key = KeySpec::new(vec![0, 1]);
-
-        let dev = SimDevice::with_block_size(256);
-        let m = ExecMetrics::new();
-        let mrs = PartialSort::new(
-            Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), data.clone())),
-            key.clone(),
-            1,
-            dev,
-            SortBudget::new(budget_blocks, 256),
-            m,
-        );
-        let mrs_out = collect(Box::new(mrs)).unwrap();
-
-        let dev = SimDevice::with_block_size(256);
-        let m = ExecMetrics::new();
-        let srs = StandardReplacementSort::new(
-            Box::new(ValuesOp::new(Schema::ints(&["a", "b"]), data.clone())),
-            key.clone(),
-            dev,
-            SortBudget::new(budget_blocks, 256),
-            m,
-        );
-        let srs_out = collect(Box::new(srs)).unwrap();
-
-        let mut expect = data;
-        expect.sort_by(|x, y| key.compare(x, y));
-        assert_eq!(mrs_out, expect);
-        assert_eq!(srs_out, expect);
+        let data = rows
+            .iter()
+            .enumerate()
+            .map(|(id, &(a, b))| {
+                Tuple::new(vec![Value::Int(a), Value::Int(b), Value::Int(id as i64)])
+            })
+            .collect();
+        check_mrs_srs_std(data, budget_blocks);
+    });
+    let pool = edge_values();
+    for_all_cases(|rng| {
+        let len = rng.gen_range(0..=400usize);
+        let budget_blocks = rng.gen_range(3u64..20);
+        let mut data: Vec<Tuple> = (0..len)
+            .map(|id| {
+                let a = pool[rng.gen_range(0..pool.len())].clone();
+                let b = pool[rng.gen_range(0..pool.len())].clone();
+                Tuple::new(vec![a, b, Value::Int(id as i64)])
+            })
+            .collect();
+        data.sort_by(|x, y| x.get(0).cmp(y.get(0))); // establish the prefix order
+        check_mrs_srs_std(data, budget_blocks);
     });
 }
 
